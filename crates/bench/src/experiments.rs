@@ -11,7 +11,7 @@ use dhdl_dse::{
     EstimateCache, SearchStrategy,
 };
 use dhdl_estimate::{Estimate, Estimator};
-use dhdl_sim::{backend_from_env, simulate_with, Bindings, SimResult};
+use dhdl_sim::{simulate_with, Backend, Bindings, SimResult};
 use dhdl_synth::{design_hash, place_and_route, SynthReport};
 use dhdl_target::{AreaReport, Platform};
 
@@ -237,11 +237,8 @@ impl Harness {
             .collect()
     }
 
-    /// Simulate a built design on the benchmark's inputs.
-    ///
-    /// The backend is selected by `DHDL_SIM_BACKEND` (`interp` | `tape`);
-    /// both produce bit-identical results, so experiment outputs do not
-    /// depend on the knob — only wall-clock time does.
+    /// Simulate a built design on the benchmark's inputs with the default
+    /// (tape) backend, which is bit-identical to the interpreter.
     ///
     /// # Panics
     ///
@@ -251,7 +248,7 @@ impl Harness {
         for (name, data) in bench.inputs() {
             bindings = bindings.bind(&name, data);
         }
-        simulate_with(backend_from_env(), design, &self.platform, &bindings)
+        simulate_with(Backend::default(), design, &self.platform, &bindings)
             .unwrap_or_else(|e| panic!("{}: simulation failed: {e}", bench.name()))
     }
 

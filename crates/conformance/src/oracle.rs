@@ -540,8 +540,8 @@ impl Conformance {
                 ),
             });
         }
-        // The tape backend must refuse-and-fall-back, never miscompile:
-        // its partitioned result is bit-identical to the interpreter's.
+        // The tape backend's partitioned result must be bit-identical to
+        // the interpreter's.
         match simulate_partitioned(Backend::Tape, design, &mp, &parts, &bindings) {
             Ok(tape) => {
                 if let Some(diff) = interp.result.bit_diff(&tape.result) {

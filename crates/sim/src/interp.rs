@@ -1,34 +1,22 @@
-//! The DHDL simulator: functional execution plus cycle-level timing.
+//! The reference interpreter: functional execution of a design.
 //!
-//! Functionally, the simulator interprets the dataflow graph exactly:
-//! controllers iterate their counter chains, pipe bodies evaluate in
-//! dataflow order with type quantization, tile transfers move data between
-//! off-chip arrays and on-chip buffers, and folds/reductions accumulate.
-//!
-//! For timing, the simulator resolves what the estimator only
-//! approximates: `MetaPipe` stages are scheduled with the full pipeline
-//! recurrence over *measured* per-wave stage durations (not the static
-//! `(N−1)·max + Σ` bound), off-chip transfers contend on a shared
-//! [`DramTimeline`] at their actual issue times, and counters pay a
-//! re-initialization bubble per outer iteration. The gap between this and
-//! `dhdl_estimate::estimate_cycles` is the runtime-estimation error
-//! reported in Table III.
+//! The interpreter executes the dataflow graph exactly: controllers
+//! iterate their counter chains, pipe bodies evaluate in dataflow order
+//! with type quantization, tile transfers move data between off-chip
+//! arrays and on-chip buffers, and folds/reductions accumulate. It
+//! computes no timing; once a run succeeds, [`simulate`] takes cycles,
+//! transfers, profile and trace from [`crate::schedule`].
 
 use std::collections::BTreeMap;
 
 use dhdl_core::{
-    CounterChain, Design, MemFold, NodeId, NodeKind, Pattern, PipeSpec, PrimOp, TileSpec,
+    CounterChain, Design, MemFold, NodeId, NodeKind, OuterSpec, PipeSpec, PrimOp, TileSpec,
 };
-use dhdl_synth::chardata::{prim_cost, reduce_tree_latency};
-use dhdl_synth::pipe_depth;
 use dhdl_target::Platform;
 
 use crate::error::{Result, SimError};
-use crate::memory::DramTimeline;
-use crate::trace::{Trace, TraceEvent};
-
-/// Per-stage handshake overhead in cycles (matches the generated control).
-pub(crate) const STAGE_OVERHEAD: f64 = 2.0;
+use crate::schedule::schedule;
+use crate::trace::Trace;
 
 /// Input data bound to off-chip memories by name.
 ///
@@ -71,7 +59,8 @@ pub struct ProfileEntry {
     pub ctrl: NodeId,
     /// Template kind plus debug name (e.g. `"Pipe %12"`).
     pub label: String,
-    /// Timed executions of the controller.
+    /// Timed executions of the controller (the schedule times only the
+    /// first member of each wave of a replicated outer controller).
     pub executions: u64,
     /// Total cycles across timed executions (children included — entries
     /// of nested controllers overlap their parents').
@@ -252,8 +241,8 @@ pub(crate) fn error_counter(e: &SimError) -> &'static str {
 }
 
 fn simulate_inner(design: &Design, platform: &Platform, bindings: &Bindings) -> Result<SimResult> {
-    let mut sim = Sim::new(design, platform, bindings)?;
-    let cycles = sim.run(design.top(), 0.0, true, 1.0)?;
+    let mut sim = Sim::new(design, bindings)?;
+    sim.run(design.top())?;
     let mut offchip = BTreeMap::new();
     for &off in design.offchips() {
         let name = design
@@ -263,57 +252,34 @@ fn simulate_inner(design: &Design, platform: &Platform, bindings: &Bindings) -> 
             .unwrap_or_else(|| format!("{off}"));
         offchip.insert(name, sim.offchip.remove(&off).unwrap_or_default());
     }
-    Ok(SimResult {
-        cycles,
-        transfers: sim.dram.transfers(),
-        offchip,
-        profile: build_profile(design, &sim.profile),
-        trace: sim.trace,
-    })
+    Ok(schedule(design, platform).into_result(offchip))
 }
 
-/// Convert raw per-controller accumulators into the sorted profile —
-/// shared by both backends so labels and ordering match bit-for-bit.
-pub(crate) fn build_profile(
-    design: &Design,
-    profile: &BTreeMap<NodeId, (u64, f64)>,
-) -> Vec<ProfileEntry> {
-    let mut out: Vec<ProfileEntry> = profile
-        .iter()
-        .map(|(&ctrl, &(executions, cycles))| ProfileEntry {
-            ctrl,
-            label: format!(
-                "{} {}{}",
-                design.kind(ctrl).template_name(),
-                ctrl,
-                design
-                    .node(ctrl)
-                    .name
-                    .as_deref()
-                    .map(|n| format!(" ({n})"))
-                    .unwrap_or_default()
-            ),
-            executions,
-            cycles,
-        })
-        .collect();
-    out.sort_by(|a, b| b.cycles.total_cmp(&a.cycles));
-    out
+/// Reject a fold whose source or accumulator is a priority queue: its
+/// live length is data-dependent, so neither the fold's semantics nor its
+/// timing is defined. Builder validation refuses such folds; this catches
+/// designs that bypass it (e.g. parsed from text). Both backends raise
+/// this when the owning controller starts.
+pub(crate) fn check_fold_endpoints(design: &Design, f: &MemFold) -> Result<()> {
+    for mem in [f.src, f.accum] {
+        if matches!(design.kind(mem), NodeKind::PriorityQueue(_)) {
+            return Err(SimError::Malformed(format!(
+                "fold endpoint {mem} is a priority queue"
+            )));
+        }
+    }
+    Ok(())
 }
 
 struct Sim<'a> {
     design: &'a Design,
-    platform: &'a Platform,
     offchip: BTreeMap<NodeId, Vec<f64>>,
     onchip: BTreeMap<NodeId, Vec<f64>>,
     vals: Vec<f64>,
-    dram: DramTimeline,
-    profile: BTreeMap<NodeId, (u64, f64)>,
-    trace: Trace,
 }
 
 impl<'a> Sim<'a> {
-    fn new(design: &'a Design, platform: &'a Platform, bindings: &Bindings) -> Result<Self> {
+    fn new(design: &'a Design, bindings: &Bindings) -> Result<Self> {
         let mut offchip = BTreeMap::new();
         for &off in design.offchips() {
             let NodeKind::OffChip { dims } = design.kind(off) else {
@@ -362,62 +328,26 @@ impl<'a> Sim<'a> {
         }
         Ok(Sim {
             design,
-            platform,
             offchip,
             onchip,
             vals: vec![0.0; design.len()],
-            dram: DramTimeline::new(),
-            profile: BTreeMap::new(),
-            trace: Trace::default(),
         })
     }
 
-    /// Execute controller `ctrl` starting at time `start`.
-    ///
-    /// `timed` selects whether this execution contributes DRAM traffic and
-    /// measured durations (replica members beyond the first run
-    /// functional-only); `conc` is the replication concurrency multiplier
-    /// applied to transfer durations.
-    fn run(&mut self, ctrl: NodeId, start: f64, timed: bool, conc: f64) -> Result<f64> {
-        let dur = self.run_inner(ctrl, start, timed, conc)?;
-        if timed {
-            let e = self.profile.entry(ctrl).or_insert((0, 0.0));
-            e.0 += 1;
-            e.1 += dur;
-            self.trace.events.push(TraceEvent {
-                ctrl,
-                start,
-                end: start + dur,
-            });
-        }
-        Ok(dur)
-    }
-
-    fn run_inner(&mut self, ctrl: NodeId, start: f64, timed: bool, conc: f64) -> Result<f64> {
-        match self.design.kind(ctrl).clone() {
-            NodeKind::Pipe(p) => self.run_pipe(ctrl, &p),
-            NodeKind::Sequential(s) => {
-                let dur = self.run_outer(
-                    ctrl, &s.ctr, s.par, &s.stages, s.fold, false, start, timed, conc,
-                )?;
-                Ok(dur)
-            }
-            NodeKind::MetaPipe(s) => {
-                let dur = self.run_outer(
-                    ctrl, &s.ctr, s.par, &s.stages, s.fold, true, start, timed, conc,
-                )?;
-                Ok(dur)
-            }
+    /// Execute one run of controller `ctrl`.
+    fn run(&mut self, ctrl: NodeId) -> Result<()> {
+        match self.design.kind(ctrl) {
+            NodeKind::Pipe(p) => self.run_pipe(ctrl, p),
+            NodeKind::Sequential(s) | NodeKind::MetaPipe(s) => self.run_outer(ctrl, s),
             NodeKind::ParallelCtrl { stages, .. } => {
-                let mut max = 0.0f64;
-                for &st in &stages {
-                    let d = self.run(st, start, timed, conc)?;
-                    max = max.max(d);
+                // Functionally, parallel stages execute in program order.
+                for &st in stages {
+                    self.run(st)?;
                 }
-                Ok(max + STAGE_OVERHEAD)
+                Ok(())
             }
-            NodeKind::TileLoad(t) => self.run_tile(&t, true, start, timed, conc),
-            NodeKind::TileStore(t) => self.run_tile(&t, false, start, timed, conc),
+            NodeKind::TileLoad(t) => self.run_tile(t, true),
+            NodeKind::TileStore(t) => self.run_tile(t, false),
             other => Err(SimError::Malformed(format!(
                 "{} is not an executable controller",
                 other.template_name()
@@ -425,37 +355,25 @@ impl<'a> Sim<'a> {
         }
     }
 
-    /// Execute an outer controller (`Sequential` or `MetaPipe`).
-    #[allow(clippy::too_many_arguments)]
-    fn run_outer(
-        &mut self,
-        ctrl: NodeId,
-        ctr: &CounterChain,
-        par: u32,
-        stages: &[NodeId],
-        fold: Option<MemFold>,
-        pipelined: bool,
-        start: f64,
-        timed: bool,
-        conc: f64,
-    ) -> Result<f64> {
+    /// Execute an outer controller (`Sequential` or `MetaPipe`): every
+    /// member in linear order, each running all stages and then the fold.
+    /// Waves and stage overlap only shape the timing.
+    fn run_outer(&mut self, ctrl: NodeId, s: &OuterSpec) -> Result<()> {
         // An empty (unit) chain means "run once"; a chain with real
         // dimensions whose product is zero can never execute its body.
-        let total = ctr.total_iters();
+        let total = s.ctr.total_iters();
         if total == 0 {
             return Err(SimError::ZeroTripLoop(ctrl));
         }
-        let n_stages = stages.len() + usize::from(fold.is_some());
-        if n_stages == 0 {
+        if s.stages.is_empty() && s.fold.is_none() {
             return Err(SimError::Malformed(format!(
                 "outer controller {ctrl} has no stages"
             )));
         }
-        let par = u64::from(par.max(1));
-        let waves = total.div_ceil(par);
         // Fold accumulators start each controller execution at the
         // reduction identity (reduce semantics of the source pattern).
-        if let Some(f) = fold {
+        if let Some(f) = &s.fold {
+            check_fold_endpoints(self.design, f)?;
             let id = f.op.identity();
             if let Some(state) = self.onchip.get_mut(&f.accum) {
                 for v in state.iter_mut() {
@@ -463,60 +381,17 @@ impl<'a> Sim<'a> {
                 }
             }
         }
-        // Pipeline recurrence state: finish time of each stage in the
-        // previous wave (for Sequential, stages within a wave serialize and
-        // waves serialize).
-        let mut finish = vec![start; n_stages];
         let iters = self.iter_nodes(ctrl);
-        for wave in 0..waves {
-            let members: Vec<u64> = (wave * par..((wave + 1) * par).min(total)).collect();
-            for (mi, &lin) in members.iter().enumerate() {
-                self.bind_iters(&iters, ctr, lin);
-                let member_timed = timed && mi == 0;
-                let member_conc = conc * members.len() as f64;
-                if member_timed {
-                    let mut cur = vec![0.0f64; n_stages];
-                    for (s, &stage) in stages.iter().enumerate() {
-                        let ready = if s == 0 {
-                            finish[0]
-                        } else if pipelined {
-                            cur[s - 1].max(finish[s])
-                        } else {
-                            cur[s - 1]
-                        };
-                        let d = self.run(stage, ready, true, member_conc)?;
-                        cur[s] = ready + d + STAGE_OVERHEAD;
-                    }
-                    if let Some(f) = fold {
-                        let s = n_stages - 1;
-                        let ready = if s == 0 {
-                            finish[0]
-                        } else if pipelined {
-                            cur[s - 1].max(finish[s])
-                        } else {
-                            cur[s - 1]
-                        };
-                        let d = self.run_fold(&f)?;
-                        cur[s] = ready + d + STAGE_OVERHEAD;
-                    }
-                    if !pipelined {
-                        // Sequential: next wave starts after this one ends.
-                        let end = cur[n_stages - 1];
-                        finish = vec![end; n_stages];
-                    } else {
-                        finish = cur;
-                    }
-                } else {
-                    for &stage in stages {
-                        self.run(stage, 0.0, false, member_conc)?;
-                    }
-                    if let Some(f) = fold {
-                        self.run_fold(&f)?;
-                    }
-                }
+        for lin in 0..total {
+            self.bind_iters(&iters, &s.ctr, lin);
+            for &stage in &s.stages {
+                self.run(stage)?;
+            }
+            if let Some(f) = &s.fold {
+                self.run_fold(f)?;
             }
         }
-        Ok(finish[n_stages - 1] - start + STAGE_OVERHEAD)
+        Ok(())
     }
 
     /// Iterator nodes owned by a controller, ordered by dimension.
@@ -547,10 +422,8 @@ impl<'a> Sim<'a> {
         }
     }
 
-    /// Execute one `Pipe`: all counter iterations, functional body
-    /// evaluation, plus the timing model (depth + II·iters + counter
-    /// bubbles).
-    fn run_pipe(&mut self, ctrl: NodeId, p: &PipeSpec) -> Result<f64> {
+    /// Execute one `Pipe`: all counter iterations in row-major order.
+    fn run_pipe(&mut self, ctrl: NodeId, p: &PipeSpec) -> Result<()> {
         let total = p.ctr.total_iters();
         if total == 0 {
             return Err(SimError::ZeroTripLoop(ctrl));
@@ -573,8 +446,10 @@ impl<'a> Sim<'a> {
         let iters = self.iter_nodes(ctrl);
         let mut coords = vec![0u64; dims.len()];
         for _ in 0..total {
+            // Iterators beyond the chain's rank read as zero, as in
+            // outer controllers.
             for (d, &it) in iters.iter().enumerate() {
-                self.vals[it.index()] = (coords[d] * dims[d].1) as f64;
+                self.vals[it.index()] = coords.get(d).map_or(0.0, |&c| (c * dims[d].1) as f64);
             }
             self.eval_body(p)?;
             // Advance the counter chain (row-major, last dim fastest).
@@ -586,25 +461,7 @@ impl<'a> Sim<'a> {
                 coords[d] = 0;
             }
         }
-        // Timing: depth + ceil(iters/par) at II=1, plus a one-cycle counter
-        // re-initialization bubble per outer-dimension wrap (a control
-        // artifact the analytical model ignores).
-        let mut depth = pipe_depth(self.design, p) as f64;
-        if let (Some(r), Pattern::Reduce(op)) = (&p.reduce, p.pattern) {
-            let ty = self.design.ty(r.reg);
-            depth += reduce_tree_latency(op.prim(), ty, p.par) as f64;
-            depth += prim_cost(op.prim(), ty).latency as f64;
-        }
-        let eff_iters = (total as f64 / f64::from(p.par.max(1))).ceil().max(1.0);
-        let outer_wraps: f64 = if dims.len() > 1 {
-            dims[..dims.len() - 1]
-                .iter()
-                .map(|&(t, _)| t as f64)
-                .product()
-        } else {
-            1.0
-        };
-        Ok(depth + eff_iters + outer_wraps + STAGE_OVERHEAD)
+        Ok(())
     }
 
     fn eval_body(&mut self, p: &PipeSpec) -> Result<()> {
@@ -755,17 +612,13 @@ impl<'a> Sim<'a> {
     }
 
     /// Execute the implicit fold stage of an outer controller.
-    fn run_fold(&mut self, f: &MemFold) -> Result<f64> {
+    fn run_fold(&mut self, f: &MemFold) -> Result<()> {
         let src = self
             .onchip
             .get(&f.src)
             .ok_or(SimError::Unevaluated(f.src))?
             .clone();
         let ty = self.design.ty(f.accum);
-        let banks = match self.design.kind(f.accum) {
-            NodeKind::Bram(b) => b.banks.max(1),
-            _ => 1,
-        };
         let accum = self
             .onchip
             .get_mut(&f.accum)
@@ -773,20 +626,12 @@ impl<'a> Sim<'a> {
         for (a, &s) in accum.iter_mut().zip(&src) {
             *a = ty.quantize(f.op.apply(*a, s));
         }
-        let lat = prim_cost(f.op.prim(), ty).latency as f64;
-        Ok(src.len() as f64 / f64::from(banks) + lat)
+        Ok(())
     }
 
-    /// Execute a tile transfer: functional copy plus a DRAM reservation.
-    fn run_tile(
-        &mut self,
-        t: &TileSpec,
-        load: bool,
-        start: f64,
-        timed: bool,
-        conc: f64,
-    ) -> Result<f64> {
-        let NodeKind::OffChip { dims } = self.design.kind(t.offchip).clone() else {
+    /// Execute a tile transfer: copy between off-chip and the local buffer.
+    fn run_tile(&mut self, t: &TileSpec, load: bool) -> Result<()> {
+        let NodeKind::OffChip { dims } = self.design.kind(t.offchip) else {
             return Err(SimError::Malformed("tile target is not off-chip".into()));
         };
         if t.tile.len() != dims.len() || t.offsets.len() != dims.len() {
@@ -838,29 +683,7 @@ impl<'a> Sim<'a> {
                 self.offchip.get_mut(&t.offchip).expect("checked")[off_idx as usize] = v;
             }
         }
-        // Timing: reserve the shared channel.
-        if !timed {
-            return Ok(0.0);
-        }
-        let elem_bytes = u64::from(self.design.ty(t.offchip).bits()).div_ceil(8);
-        let inner = *t.tile.last().unwrap_or(&1);
-        let full_row = dims.last().is_some_and(|&d| d == inner);
-        let outer: u64 = t.tile[..t.tile.len().saturating_sub(1)].iter().product();
-        let (commands, run_elems) = if full_row || t.tile.len() == 1 {
-            (1, inner * outer.max(1))
-        } else {
-            (outer.max(1), inner)
-        };
-        // Decompose into fixed command latency (pipelined with other
-        // traffic, does not occupy the channel) and data/issue time (which
-        // queues on the shared channel and scales with the number of
-        // replicated transfer units, `conc`).
-        let dram = &self.platform.dram;
-        let data = dram.burst_cycles(run_elems * elem_bytes) * commands as f64;
-        let issue = (dram.command_issue_cycles * commands) as f64;
-        let channel = data.max(issue) * conc.max(1.0);
-        let queued = self.dram.request(start, channel);
-        Ok(dram.command_latency_cycles as f64 + queued)
+        Ok(())
     }
 }
 

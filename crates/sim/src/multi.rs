@@ -7,21 +7,12 @@
 //! on-chip memory would have held. The functional outputs of a
 //! partitioned design are therefore **bit-identical** to the
 //! unpartitioned run; what changes is timing. [`simulate_partitioned`]
-//! runs the ordinary functional simulation (the global controller
-//! schedule is unchanged — partitions still synchronize through their
-//! parents, now across the link) and adds the exposed link cycles of the
-//! partitioning's channels: stream occupancy serialized on the shared
-//! link bandwidth, plus first-word latency per refill for channels in
-//! sequential scopes.
-//!
-//! The reference interpreter executes every multi-device schedule. The
-//! tape backend compiles single-device schedules only: a non-single
-//! partitioning under [`Backend::Tape`] is treated exactly like a design
-//! the tape compiler rejects ([`CompileError::Unsupported`] semantics)
-//! and falls back to the interpreter — the tape never miscompiles a
-//! schedule it does not model.
-//!
-//! [`CompileError::Unsupported`]: crate::CompileError::Unsupported
+//! runs the ordinary single-board simulation on the chosen backend (the
+//! global controller schedule is unchanged — partitions still
+//! synchronize through their parents, now across the link) and adds the
+//! exposed link cycles of the partitioning's channels: stream occupancy
+//! serialized on the shared link bandwidth, plus first-word latency per
+//! refill for channels in sequential scopes.
 
 use dhdl_core::Design;
 use dhdl_synth::partition::{partition, Partitioning};
@@ -29,7 +20,7 @@ use dhdl_target::{MultiFpgaPlatform, Platform};
 
 use crate::compile::{simulate_with, Backend};
 use crate::error::Result;
-use crate::interp::{simulate, Bindings, SimResult};
+use crate::interp::{Bindings, SimResult};
 
 /// The result of a multi-device simulation.
 #[derive(Debug, Clone)]
@@ -67,7 +58,8 @@ impl MultiSimResult {
 ///
 /// # Errors
 ///
-/// Exactly the errors of [`simulate`] — partitioning itself cannot fail.
+/// Exactly the errors of [`simulate_with`] — partitioning itself cannot
+/// fail.
 pub fn simulate_multi(
     backend: Backend,
     design: &Design,
@@ -91,16 +83,13 @@ pub fn simulate_multi(
 /// Simulate a design under an already-computed [`Partitioning`].
 ///
 /// A single (uncut) partitioning is identical to [`simulate_with`] on
-/// the base platform. A real cut runs the same functional schedule —
+/// the base platform. A real cut runs the same single-board simulation —
 /// outputs are bit-identical to the unpartitioned design — and adds
-/// `parts.link_cycles(&multi.link)` to the cycle count. The tape backend
-/// does not model multi-device schedules; a non-single partitioning
-/// under [`Backend::Tape`] falls back to the reference interpreter
-/// rather than miscompiling.
+/// `parts.link_cycles(&multi.link)` to the cycle count.
 ///
 /// # Errors
 ///
-/// Exactly the errors of [`simulate`].
+/// Exactly the errors of [`simulate_with`].
 pub fn simulate_partitioned(
     backend: Backend,
     design: &Design,
@@ -108,23 +97,19 @@ pub fn simulate_partitioned(
     parts: &Partitioning,
     bindings: &Bindings,
 ) -> Result<MultiSimResult> {
+    let _span = dhdl_obs::span_arg(
+        "simulate_partitioned",
+        "devices",
+        u64::from(parts.devices_used()),
+    );
+    let mut result = simulate_with(backend, design, &multi.base, bindings)?;
     if parts.is_single() {
-        let result = simulate_with(backend, design, &multi.base, bindings)?;
         return Ok(MultiSimResult {
             result,
             link_cycles: 0.0,
             devices_used: 1,
         });
     }
-    let _span = dhdl_obs::span_arg(
-        "simulate_partitioned",
-        "devices",
-        u64::from(parts.devices_used()),
-    );
-    // Multi-device schedules run on the reference interpreter for every
-    // backend: the tape compiles single-device schedules only, and an
-    // unsupported schedule must fall back, never miscompile.
-    let mut result = simulate(design, &multi.base, bindings)?;
     let link_cycles = parts.link_cycles(&multi.link);
     result.cycles += link_cycles;
     Ok(MultiSimResult {
@@ -137,6 +122,7 @@ pub fn simulate_partitioned(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::interp::simulate;
     use dhdl_core::{by, DType, DesignBuilder};
     use dhdl_synth::partition::{Channel, CutKind, Partition};
     use dhdl_synth::Netlist;
@@ -252,15 +238,14 @@ mod tests {
     }
 
     #[test]
-    fn tape_backend_falls_back_on_partitioned_schedules() {
+    fn backends_agree_bitwise_on_partitioned_schedules() {
         let d = chain();
         let p = Platform::maia();
         let multi = MultiFpgaPlatform::from_platform(&p, 2);
         let parts = synthetic_cut(&d);
         let i = simulate_partitioned(Backend::Interp, &d, &multi, &parts, &inputs()).unwrap();
         let t = simulate_partitioned(Backend::Tape, &d, &multi, &parts, &inputs()).unwrap();
-        assert_eq!(t.result.cycles, i.result.cycles);
-        assert_eq!(t.result.output("y").unwrap(), i.result.output("y").unwrap());
-        assert_eq!(t.link_cycles, i.link_cycles);
+        assert_eq!(t.result.bit_diff(&i.result), None);
+        assert_eq!(t.link_cycles.to_bits(), i.link_cycles.to_bits());
     }
 }

@@ -183,6 +183,40 @@ fn parallel_outer_fold_matches_bitwise() {
 }
 
 #[test]
+fn queue_fold_accumulator_is_malformed_on_both_backends() {
+    // Builder validation refuses a queue fold endpoint, so retarget the
+    // accumulator at the queue in the serialized text instead.
+    let mut ids = (0, 0);
+    let mut b = DesignBuilder::new("qacc");
+    let out = b.off_chip("out", DType::F32, &[4]);
+    b.sequential(|b| {
+        let q = b.priority_queue("q", DType::F32, 8);
+        let acc = b.bram("acc", DType::F32, &[4]);
+        ids = (q.index(), acc.index());
+        b.outer_fold(true, &[by(8, 1)], 2, acc, ReduceOp::Add, |b, iters| {
+            let t = b.bram("t", DType::F32, &[4]);
+            b.pipe(&[by(4, 1)], 1, |b, it| {
+                let iv = b.prim(PrimOp::Add, &[iters[0], it[0]]);
+                b.store(t, &[it[0]], iv);
+            });
+            t
+        });
+        let z = b.index_const(0);
+        b.tile_store(out, acc, &[z], &[4], 1);
+    });
+    let (q, acc) = ids;
+    let text = dhdl_core::serialize::to_text(&b.finish().unwrap());
+    let patched = text.replace(&format!(":{acc}:Add"), &format!(":{q}:Add"));
+    assert_ne!(text, patched, "fold not found in the serialized design");
+    let d = dhdl_core::serialize::from_text(&patched).unwrap();
+    let p = Platform::maia();
+    let r = simulate(&d, &p, &Bindings::new());
+    assert!(matches!(r, Err(SimError::Malformed(_))), "{r:?}");
+    assert!(compile(&d, &p).is_ok(), "a queue fold compiles to an abort");
+    assert_identical(&d, &Bindings::new());
+}
+
+#[test]
 fn priority_queue_matches_bitwise() {
     let mut b = DesignBuilder::new("pq");
     let out = b.off_chip("out", DType::F32, &[4]);

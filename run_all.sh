@@ -38,11 +38,6 @@ if [ "$DHDL_FUZZ_DESIGNS" -gt 0 ]; then
     --designs "$DHDL_FUZZ_DESIGNS" --seed 0
 fi
 
-# Simulator backend throughput: interpreter vs. tape-compiled, with a
-# bit-identity cross-check per benchmark (results/BENCH_sim.json).
-echo "=== simbench ==="
-cargo run -q -p dhdl-bench --bin simbench --release
-
 for b in table2 table3 table4 fig5 fig6 energy ablations; do
   echo "=== $b ==="
   cargo run -q -p dhdl-bench --bin "$b" --release
